@@ -58,7 +58,6 @@ fn replica(id: u64) -> Arc<ReplicatedEngine> {
         codebook_size: 256,
         seed: 0x6055,
         scheduler: hdhash_serve::SchedulerKind::default(),
-        engine: Default::default(),
         trace: Default::default(),
     };
     Arc::new(ReplicatedEngine::new(ReplicaId::new(id), config).expect("valid config"))

@@ -1,7 +1,7 @@
 //! Configuration for HD hash tables.
 
 use hdhash_hdc::basis::FlipStrategy;
-use hdhash_hdc::{EngineOptions, SearchStrategy, SimilarityMetric};
+use hdhash_hdc::{SearchStrategy, SimilarityMetric};
 
 /// Validated configuration for an [`HdHashTable`](crate::HdHashTable).
 ///
@@ -28,7 +28,6 @@ pub struct HdConfig {
     pub(crate) search: SearchStrategy,
     pub(crate) flip_strategy: FlipStrategy,
     pub(crate) seed: u64,
-    pub(crate) engine: EngineOptions,
 }
 
 impl HdConfig {
@@ -74,14 +73,6 @@ impl HdConfig {
         self.seed
     }
 
-    /// The lookup-engine construction options (matrix layout and scan
-    /// block size). Unset fields are autotuned per dimension when the
-    /// associative memory is built.
-    #[must_use]
-    pub fn engine_options(&self) -> EngineOptions {
-        self.engine
-    }
-
     /// The robustness quantum `c = d / n`: the exact Hamming-distance step
     /// between adjacent circle nodes. Assignments tolerate any corruption
     /// below `c / 2` bits per stored hypervector.
@@ -122,7 +113,6 @@ pub struct HdConfigBuilder {
     search: SearchStrategy,
     flip_strategy: Option<FlipStrategy>,
     seed: u64,
-    engine: EngineOptions,
 }
 
 impl Default for HdConfigBuilder {
@@ -134,7 +124,6 @@ impl Default for HdConfigBuilder {
             search: SearchStrategy::Serial,
             flip_strategy: None,
             seed: 0x4844_4153_4821, // "HDHASH!"
-            engine: EngineOptions::default(),
         }
     }
 }
@@ -187,15 +176,6 @@ impl HdConfigBuilder {
         self
     }
 
-    /// Overrides the lookup-engine construction options (matrix layout
-    /// and/or scan block size). Fields left unset keep the per-dimension
-    /// autotuned defaults; see [`EngineOptions`].
-    #[must_use]
-    pub fn engine_options(mut self, options: EngineOptions) -> Self {
-        self.engine = options;
-        self
-    }
-
     /// Validates and produces the configuration.
     ///
     /// The dimension is rounded up to the next multiple of `2 · n`
@@ -217,7 +197,6 @@ impl HdConfigBuilder {
             search: self.search,
             flip_strategy: self.flip_strategy.unwrap_or(FlipStrategy::Partition),
             seed: self.seed,
-            engine: self.engine,
         })
     }
 
@@ -303,17 +282,6 @@ mod tests {
         // Zero rounds up to the minimum viable dimension.
         let c = HdConfig::builder().dimension(0).codebook_size(8).build_config().expect("valid");
         assert_eq!(c.dimension(), 16);
-    }
-
-    #[test]
-    fn engine_options_flow_through_the_builder() {
-        use hdhash_hdc::MatrixLayout;
-        let c = HdConfig::default();
-        assert_eq!(c.engine_options(), EngineOptions::default());
-        let options =
-            EngineOptions::default().with_layout(MatrixLayout::Interleaved).with_row_block(8);
-        let c = HdConfig::builder().engine_options(options).build_config().expect("valid");
-        assert_eq!(c.engine_options(), options);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! distance argmin *is* the similarity argmax, ties (earliest insert)
 //! included.
 
-use crate::batch::{BatchLookup, EngineOptions, Hit};
+use crate::batch::{BatchLookup, Hit};
 use crate::hypervector::{DimensionMismatchError, Hypervector};
 use crate::similarity::SimilarityMetric;
 
@@ -91,35 +91,15 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
     /// Panics if `d == 0`.
     #[must_use]
     pub fn new(d: usize) -> Self {
-        Self::with_engine_options(d, EngineOptions::default())
-    }
-
-    /// Creates an empty memory whose scan engine uses explicit
-    /// [`EngineOptions`] (matrix layout / row block); unset fields are
-    /// autotuned exactly as in [`new`](Self::new).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d == 0` or `options.row_block == Some(0)`.
-    #[must_use]
-    pub fn with_engine_options(d: usize, options: EngineOptions) -> Self {
         assert!(d > 0, "dimension must be positive");
         Self {
             dimension: d,
             metric: SimilarityMetric::default(),
             strategy: SearchStrategy::default(),
             entries: Vec::new(),
-            engine: BatchLookup::with_options(d, options),
+            engine: BatchLookup::new(d),
             shard_plan: Vec::new(),
         }
-    }
-
-    /// The resolved scan-engine layout options (post-autotune).
-    #[must_use]
-    pub fn engine_options(&self) -> EngineOptions {
-        EngineOptions::default()
-            .with_layout(self.engine.layout())
-            .with_row_block(self.engine.row_block())
     }
 
     /// Sets the similarity metric (builder style).
@@ -178,9 +158,9 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
     /// many were removed.
     ///
     /// The scan matrix is compacted without reallocating
-    /// ([`BatchLookup::retain_rows`]: an in-place forward copy pass, or an
-    /// arena swap under the interleaved layout) — removing one server from
-    /// a large memory never re-reads every stored hypervector.
+    /// ([`BatchLookup::retain_rows`]: an in-place forward copy pass) —
+    /// removing one server from a large memory never re-reads every stored
+    /// hypervector.
     pub fn remove_where<F: FnMut(&K) -> bool>(&mut self, mut predicate: F) -> usize {
         // Evaluate the predicate once per entry, in row order, so the
         // entry list and the matrix stay row-for-row in sync.
@@ -425,10 +405,8 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
 
     /// Quantized scan over one row range; returns `(q, order(key), row)`.
     ///
-    /// Rides [`BatchLookup::nearest_quantized_by`] — the adaptive
-    /// incremental-prefix schedule with the quantum-aware pruning bound —
-    /// so the Partition-strategy path shares the plain argmin's scan
-    /// machinery and calibrator instead of always sweeping straight.
+    /// Rides [`BatchLookup::nearest_quantized_by`]: the bounded row scan
+    /// with the quantum-aware pruning bound.
     fn quantized_in_range<O: Ord, F: Fn(&K) -> O>(
         &self,
         probe: &Hypervector,

@@ -4,11 +4,10 @@
 //! included, and especially dimensions that are not multiples of 64, which
 //! exercise the masked tail word of the packed representation.
 
+use hdhash_hdc::basis::{CircularBasis, FlipStrategy};
 use hdhash_hdc::batch::Hit;
 use hdhash_hdc::ops::{bundle, permute, reference, MajorityBundler};
-use hdhash_hdc::{
-    AssociativeMemory, BatchLookup, EngineOptions, Hypervector, MatrixLayout, Rng,
-};
+use hdhash_hdc::{AssociativeMemory, BatchLookup, Hypervector, Rng};
 use proptest::prelude::*;
 
 /// Dimensions biased toward word-boundary edge cases.
@@ -25,26 +24,6 @@ fn dims() -> impl Strategy<Value = usize> {
         Just(1000),
         Just(10_000),
     ]
-}
-
-/// Engine construction options spanning both matrix layouts and row-block
-/// heights that do and do not divide typical populations (1 = degenerate
-/// single-lane interleave, 16 = the production default).
-fn engine_options() -> impl Strategy<Value = EngineOptions> {
-    (
-        prop_oneof![Just(MatrixLayout::RowMajor), Just(MatrixLayout::Interleaved)],
-        prop_oneof![Just(1usize), Just(3), Just(7), Just(16)],
-    )
-        .prop_map(|(layout, row_block)| {
-            EngineOptions::default().with_layout(layout).with_row_block(row_block)
-        })
-}
-
-/// Row `i` of an engine as an owned word vector (layout-independent).
-fn engine_row(engine: &BatchLookup, i: usize) -> Vec<u64> {
-    let mut out = Vec::new();
-    engine.copy_row_into(i, &mut out);
-    out
 }
 
 proptest! {
@@ -127,7 +106,7 @@ proptest! {
 
     /// The batched engine returns exactly the naive argmin — lowest
     /// distance, earliest row on ties — for random populations, random
-    /// probes, and near-match probes (which take the prefix-filter path).
+    /// probes, and near-match probes.
     #[test]
     fn batch_lookup_equals_naive_argmin(
         seed in any::<u64>(),
@@ -164,14 +143,11 @@ proptest! {
         prop_assert_eq!(out[0].map(|h| (h.row, h.distance)), got);
     }
 
-    /// The calibrated batch path is byte-identical across scan plans: an
-    /// engine whose calibrator is engaged (fresh, inference-assuming) and
-    /// one collapsed by an adversarial warm-up stream must resolve the
-    /// same probe batch to identical `(row, distance)` hits, and both must
-    /// equal the naive per-probe argmin — whether the batch itself is
-    /// inference-shaped, adversarial, or mixed.
+    /// The cache-blocked multi-probe sweep resolves a whole batch —
+    /// inference-shaped, adversarial, or mixed — to exactly the naive
+    /// per-probe argmin, across several row blocks and a ragged tail.
     #[test]
-    fn calibrated_batch_equals_blocked_batch(
+    fn batch_equals_reference_argmin(
         seed in any::<u64>(),
         d in prop_oneof![Just(1000usize), Just(4096), Just(10_240)],
         n in 9usize..40,
@@ -180,16 +156,9 @@ proptest! {
         let mut rng = Rng::new(seed);
         let rows: Vec<Hypervector> =
             (0..n).map(|_| Hypervector::random(d, &mut rng)).collect();
-        let mut engaged = BatchLookup::new(d);
+        let mut engine = BatchLookup::new(d);
         for hv in &rows {
-            engaged.push(hv).unwrap();
-        }
-        // A second engine, collapsed by sustained adversarial single-probe
-        // traffic, takes the cache-blocked plan for the same batch.
-        let collapsed = engaged.clone();
-        for _ in 0..10 {
-            let probe = Hypervector::random(d, &mut rng);
-            let _ = collapsed.nearest_one(&probe);
+            engine.push(hv).unwrap();
         }
         let probes: Vec<Hypervector> = shapes
             .iter()
@@ -205,11 +174,10 @@ proptest! {
             })
             .collect();
         let refs: Vec<&Hypervector> = probes.iter().collect();
-        let (mut via_engaged, mut via_collapsed) = (Vec::new(), Vec::new());
-        engaged.nearest_batch_into(&refs, &mut via_engaged);
-        collapsed.nearest_batch_into(&refs, &mut via_collapsed);
-        prop_assert_eq!(&via_engaged, &via_collapsed);
-        for (probe, got) in probes.iter().zip(&via_engaged) {
+        let mut out = Vec::new();
+        engine.nearest_batch_into(&refs, &mut out);
+        prop_assert_eq!(out.len(), probes.len());
+        for (probe, got) in probes.iter().zip(&out) {
             let naive = rows
                 .iter()
                 .enumerate()
@@ -220,14 +188,11 @@ proptest! {
         }
     }
 
-    /// The adaptive scan stays exact across *streams* of probes on one
-    /// engine: mixed adversarial and inference-shaped probes drive the
-    /// calibrator through its whole state machine — filtered rounds with
-    /// and without a stand-out leader, the collapsed straight scan, and
-    /// the periodic exploration queries — and every single answer must
-    /// still be the reference argmin with the earliest-row tie-break.
+    /// The single-probe scan stays exact across *streams* of mixed
+    /// adversarial and inference-shaped probes on one engine: every answer
+    /// is the reference argmin with the earliest-row tie-break.
     #[test]
-    fn adaptive_scan_exact_under_probe_streams(
+    fn nearest_one_exact_under_probe_streams(
         seed in any::<u64>(),
         d in prop_oneof![Just(512usize), Just(1000), Just(4096), Just(10_240)],
         n in 8usize..48,
@@ -262,45 +227,59 @@ proptest! {
         }
     }
 
-    /// The quantized arg-max on the adaptive incremental-prefix schedule
-    /// is **byte-identical to the straight bounded scan**: for every probe
-    /// shape (inference-shaped and adversarial), every calibrator state
-    /// (a fresh engaged engine and one collapsed by adversarial warm-up
-    /// runs opposite plans), and colliding order keys (forcing the
-    /// `(q, order, row)` tie-break), the `(q, order, row)` verdict equals
-    /// the exhaustive reference minimum.
+    /// The quantized arg-max equals the exhaustive `(q, order, row)`
+    /// reference minimum, with colliding order keys forcing the
+    /// `(q, order, row)` tie-break, on two input shapes:
+    ///
+    /// * random rows probed by random or noisy-copy vectors;
+    /// * the serving shape — rows are members drawn from a
+    ///   `FlipStrategy::Partition` circular codebook of `2n` slots and
+    ///   probes are codebook vectors, at the codebook's own quantum
+    ///   `d / 2n`, so distances sit on exact levels and equal-level ties
+    ///   between members on either side of the probe are common.
     #[test]
-    fn quantized_adaptive_equals_straight_scan(
+    fn quantized_scan_equals_reference(
         seed in any::<u64>(),
         d in prop_oneof![Just(512usize), Just(1000), Just(4096), Just(10_240)],
         n in 9usize..48,
         quantum_div in 1usize..64,
+        circular in any::<bool>(),
         shapes in prop::collection::vec(any::<bool>(), 6..20),
     ) {
-        let quantum = (d / (quantum_div * 2).max(2)).max(1);
         let mut rng = Rng::new(seed);
-        let rows: Vec<Hypervector> =
-            (0..n).map(|_| Hypervector::random(d, &mut rng)).collect();
-        let mut engaged = BatchLookup::new(d);
+        let slots = 2 * n;
+        let codebook = circular.then(|| {
+            CircularBasis::generate_with_strategy(slots, d, FlipStrategy::Partition, &mut rng)
+                .unwrap()
+        });
+        let (rows, quantum): (Vec<Hypervector>, usize) = match &codebook {
+            Some(basis) => (
+                rng.distinct_indices(n, slots)
+                    .into_iter()
+                    .map(|slot| basis.hypervectors()[slot].clone())
+                    .collect(),
+                d / slots,
+            ),
+            None => (
+                (0..n).map(|_| Hypervector::random(d, &mut rng)).collect(),
+                (d / (quantum_div * 2).max(2)).max(1),
+            ),
+        };
+        let mut engine = BatchLookup::new(d);
         for hv in &rows {
-            engaged.push(hv).unwrap();
-        }
-        // A second engine, collapsed by sustained adversarial warm-up,
-        // runs the straight plan for the same probes.
-        let collapsed = engaged.clone();
-        for _ in 0..10 {
-            let probe = Hypervector::random(d, &mut rng);
-            let _ = collapsed.nearest_one(&probe);
+            engine.push(hv).unwrap();
         }
         let order = |row: usize| row % 5; // collides → order tie-break exercised
         for &noisy in &shapes {
-            let probe = if noisy {
-                let victim = rng.next_below(n as u64) as usize;
-                let mut p = rows[victim].clone();
-                p.flip_bits(rng.distinct_indices(d / 25, d));
-                p
-            } else {
-                Hypervector::random(d, &mut rng)
+            let probe = match &codebook {
+                Some(basis) => basis.hypervectors()[rng.next_below(slots as u64) as usize].clone(),
+                None if noisy => {
+                    let victim = rng.next_below(n as u64) as usize;
+                    let mut p = rows[victim].clone();
+                    p.flip_bits(rng.distinct_indices(d / 25, d));
+                    p
+                }
+                None => Hypervector::random(d, &mut rng),
             };
             let want = rows
                 .iter()
@@ -309,29 +288,30 @@ proptest! {
                     ((reference::hamming(&probe, hv) + quantum / 2) / quantum, order(row), row)
                 })
                 .min();
-            let via_engaged = engaged.nearest_quantized_by(&probe, quantum, 0, n, order);
-            let via_collapsed = collapsed.nearest_quantized_by(&probe, quantum, 0, n, order);
-            prop_assert_eq!(&via_engaged, &want, "engaged plan diverged (d={}, q={})", d, quantum);
-            prop_assert_eq!(&via_collapsed, &want, "collapsed plan diverged (d={}, q={})", d, quantum);
+            prop_assert_eq!(
+                engine.nearest_quantized_by(&probe, quantum, 0, n, order),
+                want,
+                "d={}, q={}, circular={}",
+                d,
+                quantum,
+                circular
+            );
         }
     }
 
     /// Row compaction under churn equals a fresh engine built from the
-    /// surviving rows — matrix contents and scan results alike — under
-    /// both layouts (in-place copy for row-major, arena re-laning for
-    /// interleaved) and non-divisor row blocks.
+    /// surviving rows — matrix contents and scan results alike.
     #[test]
     fn retained_rows_equal_fresh_engine(
         seed in any::<u64>(),
         d in dims(),
         n in 1usize..30,
         keep_mask in prop::collection::vec(any::<bool>(), 30),
-        options in engine_options(),
     ) {
         let mut rng = Rng::new(seed);
         let rows: Vec<Hypervector> =
             (0..n).map(|_| Hypervector::random(d, &mut rng)).collect();
-        let mut engine = BatchLookup::with_options(d, options);
+        let mut engine = BatchLookup::new(d);
         for hv in &rows {
             engine.push(hv).unwrap();
         }
@@ -339,13 +319,13 @@ proptest! {
         let survivors: Vec<&Hypervector> =
             rows.iter().enumerate().filter(|(i, _)| keep_mask[*i]).map(|(_, hv)| hv).collect();
         prop_assert_eq!(engine.len(), survivors.len());
-        let mut fresh = BatchLookup::with_options(d, options);
+        let mut fresh = BatchLookup::new(d);
         for hv in &survivors {
             fresh.push(hv).unwrap();
         }
         for (i, hv) in survivors.iter().enumerate() {
-            prop_assert_eq!(engine_row(&engine, i), engine_row(&fresh, i));
-            prop_assert_eq!(engine_row(&engine, i), hv.as_words().to_vec());
+            prop_assert_eq!(engine.row(i), fresh.row(i));
+            prop_assert_eq!(engine.row(i), hv.as_words());
         }
         let probe = Hypervector::random(d, &mut rng);
         let got = engine.nearest_one(&probe).map(|h| (h.row, h.distance));
@@ -358,26 +338,24 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// Cross-layout × cross-tier pin: the same membership behind every
-    /// (layout, row_block) resolves every scan shape — plain argmin,
-    /// batch, bounded range, quantized arg-max, and bulk distances —
-    /// byte-identically to the bit-at-a-time reference, on non-×64
-    /// dimensions and after row compaction. The dispatched kernel under
-    /// all of this is whatever tier the host runs (scalar/AVX2/AVX-512),
-    /// so a pass pins that tier against the reference too.
+    /// Cross-tier pin: after row compaction the engine resolves every
+    /// scan shape — plain argmin, batch, bounded range, quantized arg-max,
+    /// and bulk distances — byte-identically to the bit-at-a-time
+    /// reference, on non-×64 dimensions. The dispatched kernel under all
+    /// of this is whatever tier the host runs (scalar/AVX2/AVX-512), so a
+    /// pass pins that tier against the reference too.
     #[test]
-    fn layouts_agree_with_reference_after_churn(
+    fn scans_agree_with_reference_after_churn(
         seed in any::<u64>(),
         d in dims(),
         n in 1usize..30,
         keep_mask in prop::collection::vec(any::<bool>(), 30),
         noisy in any::<bool>(),
-        options in engine_options(),
     ) {
         let mut rng = Rng::new(seed);
         let all_rows: Vec<Hypervector> =
             (0..n).map(|_| Hypervector::random(d, &mut rng)).collect();
-        let mut engine = BatchLookup::with_options(d, options);
+        let mut engine = BatchLookup::new(d);
         for hv in &all_rows {
             engine.push(hv).unwrap();
         }

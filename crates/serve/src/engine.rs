@@ -63,7 +63,6 @@ impl EngineCore {
                 .dimension(config.dimension)
                 .codebook_size(config.codebook_size)
                 .seed(config.seed.wrapping_add(i as u64))
-                .engine_options(config.engine)
                 .build()
                 .map_err(|e| ServeError::InvalidConfig(e.to_string()))?;
             shards.push(Shard::new(i, table));
@@ -491,7 +490,6 @@ mod tests {
             codebook_size: 64,
             seed: 42,
             scheduler: SchedulerKind::SharedQueue,
-            engine: Default::default(),
             trace: hdhash_obs::TraceConfig::disabled(),
         }
     }
@@ -663,7 +661,6 @@ mod tests {
         for kind in [SchedulerKind::SharedQueue, SchedulerKind::WorkStealing] {
             let config = ServeConfig {
                 scheduler: kind,
-                engine: Default::default(),
                 trace: TraceConfig { enabled: true, sample_every: 1, ring_capacity: 8192 },
                 ..test_config()
             };

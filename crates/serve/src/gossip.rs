@@ -502,6 +502,16 @@ impl<T: Transport> GossipNode<T> {
         self.last_heard.lock().insert(peer, round);
     }
 
+    /// Whether no sync this node started is still in flight: each one has
+    /// ended in its terminal span (complete, or abandoned after the retry
+    /// cap). Harnesses wait on this after convergence before reading the
+    /// trace, since replicas can agree while a moot exchange is still on
+    /// the wire.
+    #[must_use]
+    pub fn syncs_settled(&self) -> bool {
+        self.outstanding.lock().is_empty()
+    }
+
     /// Starts tracking an in-flight sync to `peer` (no-op if one is
     /// already outstanding — a retransmission chain is in progress).
     fn track_sync(&self, peer: ReplicaId) {
@@ -513,6 +523,17 @@ impl<T: Transport> GossipNode<T> {
         });
         if inserted && self.tracer.is_enabled() {
             self.tracer.record(SpanKind::SyncStart, 0, self.trace_lane(), peer.get(), round);
+        }
+    }
+
+    /// Stops tracking the in-flight sync to `peer`, if any, and records
+    /// its terminal `SyncComplete` span — so every `SyncStart` ends in
+    /// exactly one terminal span whether a response or an agreeing advert
+    /// closed it.
+    fn complete_sync(&self, peer: ReplicaId, round: u64) {
+        let was_tracked = self.outstanding.lock().remove(&peer).is_some();
+        if was_tracked && self.tracer.is_enabled() {
+            self.tracer.record(SpanKind::SyncComplete, 0, self.trace_lane(), peer.get(), round);
         }
     }
 
@@ -715,7 +736,7 @@ impl<T: Transport> GossipNode<T> {
                 if diverged.is_empty() {
                     // Replicas agree — 1 message, d·shards bits. An
                     // in-flight sync to this peer became moot.
-                    self.outstanding.lock().remove(&from);
+                    self.complete_sync(from, round);
                     return;
                 }
                 Counters::add(&self.counters.divergence_detections, 1);
@@ -739,10 +760,7 @@ impl<T: Transport> GossipNode<T> {
             }
             GossipMessage::SyncResponse { round, stamp, records } => {
                 // The exchange completed; stop any retransmission chain.
-                let was_tracked = self.outstanding.lock().remove(&from).is_some();
-                if was_tracked && self.tracer.is_enabled() {
-                    self.tracer.record(SpanKind::SyncComplete, 0, self.trace_lane(), from.get(), round);
-                }
+                self.complete_sync(from, round);
                 self.merge_from(from, stamp, &records);
             }
         }
@@ -880,6 +898,7 @@ mod tests {
     use super::*;
     use crate::transport::InProcessNetwork;
     use crate::ServeConfig;
+    use hdhash_obs::TraceConfig;
     use hdhash_table::ServerId;
 
     fn config(shards: usize) -> ServeConfig {
@@ -892,7 +911,6 @@ mod tests {
             codebook_size: 64,
             seed: 31,
             scheduler: crate::SchedulerKind::default(),
-            engine: Default::default(),
             trace: Default::default(),
         }
     }
@@ -1189,6 +1207,36 @@ mod tests {
             assert_eq!(m.sync_retries, 0);
             assert_eq!(m.sync_abandoned, 0);
         }
+    }
+
+    #[test]
+    fn sync_made_moot_by_an_agreeing_advert_ends_in_one_terminal_span() {
+        let nodes: Vec<_> = pair(2)
+            .into_iter()
+            .map(|node| node.with_tracer(Arc::new(Tracer::new(TraceConfig::sampled(1)))))
+            .collect();
+        nodes[0].replica().join(ServerId::new(1)).expect("fresh");
+        // Node 1 adverts; node 0 sees the divergence and starts a sync.
+        nodes[1].tick();
+        nodes[0].pump();
+        assert!(!nodes[0].syncs_settled());
+        // Node 1 merges the request, but its response is lost on the way.
+        nodes[1].pump();
+        while nodes[0].transport.try_recv().is_some() {}
+        // The replicas now agree: node 1's next advert makes the sync moot.
+        nodes[1].tick();
+        nodes[0].pump();
+        assert!(nodes[0].syncs_settled(), "an agreeing advert closes the sync");
+        // Rounds past every retry deadline add no further terminal span.
+        let cfg = nodes[0].config;
+        for _ in 0..8 * cfg.sync_retry_rounds * (1 << cfg.sync_retry_cap) {
+            nodes[0].tick();
+        }
+        let kinds: Vec<SpanKind> = nodes[0].tracer.drain().iter().map(|e| e.kind).collect();
+        let count = |kind: SpanKind| kinds.iter().filter(|&&k| k == kind).count();
+        assert_eq!(count(SpanKind::SyncStart), 1);
+        assert_eq!(count(SpanKind::SyncComplete) + count(SpanKind::SyncAbandon), 1);
+        assert_eq!(count(SpanKind::SyncComplete), 1, "the moot sync completed");
     }
 
     #[test]

@@ -120,7 +120,6 @@ pub mod wire;
 
 pub use chaos::{ChaosEndpoint, ChaosNetwork, ChaosStats, FaultPlan, LinkFaults};
 pub use config::{SchedulerKind, ServeConfig};
-pub use hdhash_hdc::{EngineOptions, MatrixLayout};
 pub use engine::ServeEngine;
 pub use executor::{block_on, block_on_timeout};
 pub use gossip::{GossipConfig, GossipMessage, GossipMetrics, GossipNode, PeerHealth};

@@ -196,7 +196,6 @@ mod tests {
             codebook_size: 64,
             seed: 9,
             scheduler,
-            engine: Default::default(),
             trace: Default::default(),
         })
         .expect("valid config")
@@ -258,7 +257,6 @@ mod tests {
             codebook_size: 64,
             seed: 10,
             scheduler: crate::SchedulerKind::default(),
-            engine: Default::default(),
             trace: Default::default(),
         })
         .expect("valid config");

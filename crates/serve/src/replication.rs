@@ -538,7 +538,6 @@ mod tests {
             codebook_size: 64,
             seed: 77,
             scheduler: crate::SchedulerKind::default(),
-            engine: Default::default(),
             trace: Default::default(),
         }
     }
@@ -792,7 +791,6 @@ mod tests {
             codebook_size: 8,
             seed: 5,
             scheduler: crate::SchedulerKind::default(),
-            engine: Default::default(),
             trace: Default::default(),
         };
         let a = ReplicatedEngine::new(ReplicaId::new(0), tiny).expect("valid");

@@ -48,7 +48,6 @@ fn config(seed: u64, scheduler: SchedulerKind) -> ServeConfig {
         codebook_size: 64,
         seed,
         scheduler,
-        engine: Default::default(),
         trace: Default::default(),
     }
 }
@@ -239,7 +238,6 @@ fn work_stealing_backpressure_surfaces_queue_full() {
         codebook_size: 64,
         seed: 7,
         scheduler: SchedulerKind::WorkStealing,
-        engine: Default::default(),
         trace: Default::default(),
     })
     .expect("valid config");
@@ -284,7 +282,6 @@ fn stragglers_in_stolen_batches_complete_at_shutdown() {
             codebook_size: 64,
             seed: 1000 + round,
             scheduler: SchedulerKind::WorkStealing,
-            engine: Default::default(),
             trace: Default::default(),
         })
         .expect("valid config");

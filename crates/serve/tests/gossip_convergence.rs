@@ -31,7 +31,6 @@ fn serve_config(shards: usize, seed: u64) -> ServeConfig {
         codebook_size: 64,
         seed,
         scheduler: hdhash_serve::SchedulerKind::default(),
-        engine: Default::default(),
         trace: Default::default(),
     }
 }

@@ -49,7 +49,6 @@ fn serve_config() -> ServeConfig {
         codebook_size: 32,
         seed: 404,
         scheduler: hdhash_serve::SchedulerKind::default(),
-        engine: Default::default(),
         trace: Default::default(),
     }
 }

@@ -28,7 +28,6 @@ fn serve_config(seed: u64) -> ServeConfig {
         codebook_size: 32,
         seed,
         scheduler: hdhash_serve::SchedulerKind::default(),
-        engine: Default::default(),
         trace: Default::default(),
     }
 }

@@ -32,7 +32,6 @@ fn serve_config(seed: u64) -> ServeConfig {
         seed,
         scheduler: hdhash_serve::SchedulerKind::default(),
         // Sample every request: this suite asserts on event presence.
-        engine: Default::default(),
         trace: TraceConfig::sampled(1),
     }
 }
@@ -130,6 +129,18 @@ fn one_snapshot_covers_every_layer() {
             break;
         }
         assert!(Instant::now() < deadline, "no convergence over TCP");
+    }
+    // Agreement can land while a sync exchange is still on the wire; keep
+    // gossiping until every started sync has closed its span.
+    while !nodes.iter().all(GossipNode::syncs_settled) {
+        for node in &nodes {
+            node.tick();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        for node in &nodes {
+            node.pump();
+        }
+        assert!(Instant::now() < deadline, "syncs never settled over TCP");
     }
     for i in 0..50u64 {
         let ticket = replicas[0].submit(RequestKey::new(i)).expect("accepted");

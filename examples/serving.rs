@@ -60,7 +60,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         codebook_size: 256,
         seed: 2022,
         scheduler,
-        engine: Default::default(),
         trace,
     };
     println!(

@@ -954,7 +954,6 @@ mod cluster {
             codebook_size: codebook,
             seed,
             scheduler: hdhash::serve::SchedulerKind::default(),
-            engine: Default::default(),
             trace: if metrics_out.is_some() {
                 hdhash::obs::TraceConfig::sampled(64)
             } else {
